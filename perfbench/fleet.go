@@ -30,7 +30,7 @@ const (
 	fleetSetups      = 5
 	fleetSubs        = 30
 	fleetReads       = 6  // window and nearby reads per tick
-	fleetProbesPerS  = 60 // probe groups per --seconds, run every fleetTicksPerSec ticks
+	fleetProbesPerS  = 90 // probe groups per --seconds, run every fleetTicksPerSec ticks
 )
 
 var (
@@ -345,7 +345,6 @@ func runFleet(opt options) (*run, error) {
 		tr = newTracer()
 	}
 	r := newRun(wFleet, tr)
-	heap0 := liveHeapMB()
 	var s *stack
 	for i := 0; i < fleetSetups; i++ {
 		ps, err := storage.ReadPageStore(bytes.NewReader(img))
@@ -415,7 +414,6 @@ func runFleet(opt options) (*run, error) {
 	r.counters["wal_pages"] = float64(end.Ingest.WALPages - base.Ingest.WALPages)
 	r.counters["epochs"] = float64(end.Epoch.Publishes - base.Epoch.Publishes)
 	r.counters["objects"] = float64(len(m.tracks))
-	r.heapMB = liveHeapMB() - heap0
 	if tr != nil {
 		err = layerReplay(e, cat, base, end, spanFrom, func() (*ingest.Pipeline, error) {
 			ps, err := storage.ReadPageStore(bytes.NewReader(img))
@@ -428,5 +426,6 @@ func runFleet(opt options) (*run, error) {
 			return nil, err
 		}
 	}
+	r.heapMB = s.heapMB()
 	return r, nil
 }

@@ -298,6 +298,35 @@ func pieceMin(a, b Track, t0, t1 float64) float64 {
 	return math.Hypot(dx0+f*vx, dy0+f*vy)
 }
 
+// InsideRings reports whether (x, y) lies inside the region the rings
+// bound, outer rings and holes alike, by the even-odd rule of a ray cast
+// towards +x; graze is true when the point lies within Eps of an edge,
+// where the answer may go either way.
+func InsideRings(rings [][][2]float64, x, y float64) (in, graze bool) {
+	for _, ring := range rings {
+		for i := range ring {
+			a, b := ring[i], ring[(i+1)%len(ring)]
+			if segPointDist(a, b, x, y) <= Eps {
+				graze = true
+			}
+			if (a[1] > y) != (b[1] > y) && x < a[0]+(y-a[1])*(b[0]-a[0])/(b[1]-a[1]) {
+				in = !in
+			}
+		}
+	}
+	return in, graze
+}
+
+// segPointDist is the distance from (x, y) to the segment a-b.
+func segPointDist(a, b [2]float64, x, y float64) float64 {
+	dx, dy := b[0]-a[0], b[1]-a[1]
+	f := 0.0
+	if l := dx*dx + dy*dy; l > 0 {
+		f = math.Max(0, math.Min(1, ((x-a[0])*dx+(y-a[1])*dy)/l))
+	}
+	return math.Hypot(x-a[0]-f*dx, y-a[1]-f*dy)
+}
+
 // Present reports whether the track is defined at t.
 func (tr Track) Present(t float64) bool {
 	return len(tr.S) > 0 && t >= tr.Start() && t <= tr.End()

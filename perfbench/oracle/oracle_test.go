@@ -146,3 +146,27 @@ func TestCheckEdges(t *testing.T) {
 		t.Error("stream ending inside accepted for an object that ends outside")
 	}
 }
+
+// A square with a square hole: the even-odd ray cast puts the hole
+// outside, and a point on an edge (outer or hole) grazes.
+func TestInsideRings(t *testing.T) {
+	outer := [][2]float64{{0, 0}, {10, 0}, {10, 10}, {0, 10}}
+	hole := [][2]float64{{4, 4}, {6, 4}, {6, 6}, {4, 6}}
+	rings := [][][2]float64{outer, hole}
+	for _, c := range []struct {
+		x, y      float64
+		in, graze bool
+	}{
+		{2, 2, true, false},
+		{5, 5, false, false},
+		{12, 5, false, false},
+		{10, 5, false, true}, // on the outer edge, whichever side the cast gives
+		{5, 4, false, true},  // on the hole's edge
+		{2, 5, true, false},  // the ray crosses the hole: two more crossings
+	} {
+		in, graze := InsideRings(rings, c.x, c.y)
+		if graze != c.graze || (!graze && in != c.in) {
+			t.Errorf("(%g,%g): in %v graze %v; want in %v graze %v", c.x, c.y, in, graze, c.in, c.graze)
+		}
+	}
+}

@@ -19,10 +19,10 @@ const (
 	psStorms       = 4
 	psTrips        = 200
 	psTripLen      = 1000
-	psRoundsPerSec = 40
+	psRoundsPerSec = 80
 	psWarmRounds   = 20
 	psSetups       = 5
-	psProbesPerS   = 100 // probe groups per --seconds, run every psRoundsPerSec rounds
+	psProbesPerS   = 200 // probe groups per --seconds, run every psRoundsPerSec rounds
 )
 
 // psMix is one round's queries; the cheap present() template runs twice
@@ -65,7 +65,9 @@ func runPaperSQL(opt options) (*run, error) {
 		tr = newTracer()
 	}
 	r := newRun(wPaperSQL, tr)
-	heap0 := liveHeapMB()
+	for _, f := range so.faults {
+		r.mismatch("storm cross-check: %s", f)
+	}
 	var s *stack
 	for i := 0; i < psSetups; i++ {
 		if s != nil {
@@ -110,7 +112,7 @@ func runPaperSQL(opt options) (*run, error) {
 
 	r.counters["epochs"] = float64(end.Epoch.Publishes - base.Epoch.Publishes)
 	r.counters["cache_misses"] = float64(end.Cache.Misses - base.Cache.Misses)
-	r.heapMB = liveHeapMB() - heap0
+	r.counters["storm_instants_checked"] = float64(so.crossChecked)
 	if tr != nil {
 		err = layerReplay(e, cat, base, end, spanFrom, func() (*ingest.Pipeline, error) {
 			return ingest.Open(ingest.Config{SeedIDs: ids, Seeds: seeds})
@@ -119,5 +121,6 @@ func runPaperSQL(opt options) (*run, error) {
 			return nil, err
 		}
 	}
+	r.heapMB = s.heapMB()
 	return r, nil
 }

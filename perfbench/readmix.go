@@ -127,7 +127,6 @@ func runReadMix(opt options) (*run, error) {
 		tr = newTracer()
 	}
 	r := newRun(wReadMix, tr)
-	heap0 := liveHeapMB()
 	var s *stack
 	for i := 0; i < rmSetups; i++ {
 		if s != nil {
@@ -190,7 +189,6 @@ func runReadMix(opt options) (*run, error) {
 	r.counters["cache_hits"] = float64(end.Cache.Hits - base.Cache.Hits)
 	r.counters["cache_misses"] = float64(end.Cache.Misses - base.Cache.Misses)
 	r.counters["answers_checked"] = float64(len(e.checked))
-	r.heapMB = liveHeapMB() - heap0
 	if tr != nil {
 		err = layerReplay(e, cat, base, end, spanFrom, func() (*ingest.Pipeline, error) {
 			return ingest.Open(ingest.Config{SeedIDs: ids, Seeds: seeds})
@@ -199,5 +197,6 @@ func runReadMix(opt options) (*run, error) {
 			return nil, err
 		}
 	}
+	r.heapMB = s.heapMB()
 	return r, nil
 }

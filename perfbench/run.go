@@ -49,24 +49,31 @@ var home = map[string][]string{
 	"query_p50_ms":     {wPaperSQL},
 }
 
-// segments is the number of equal parts a timed phase is cut into by
-// work done. Rates and tails are taken per part and the median part is
-// reported, so a stretch of a slow host that spoils one or two parts
-// does not move the figure.
+// segments is the number of equal parts the main traffic is cut into
+// by work done; every probe sub-phase is a part of its own.
 const segments = 5
 
-// phase holds the samples of one timed phase, per segment.
-type phase struct {
-	lat  [segments]map[string][]float64     // route class → latencies, ms
-	busy [segments]map[string]time.Duration // route class → time its requests were in flight
-	obs  [segments]int64                    // observations acknowledged
+// part holds the samples of one part of a phase.
+type part struct {
+	lat  map[string][]float64     // route class → latencies, ms
+	busy map[string]time.Duration // route class → time its requests were in flight
+	obs  int64                    // observations acknowledged
 }
 
-func newPhase() *phase {
+func newPart() *part {
+	return &part{lat: map[string][]float64{}, busy: map[string]time.Duration{}}
+}
+
+// phase holds the samples of one kind of traffic, in parts. Rates and
+// tails are taken per part and the median part is reported, so a
+// stretch of a slow host that spoils a minority of the parts does not
+// move the figure.
+type phase struct{ parts []*part }
+
+func newPhase(n int) *phase {
 	p := &phase{}
-	for i := range p.lat {
-		p.lat[i] = map[string][]float64{}
-		p.busy[i] = map[string]time.Duration{}
+	for i := 0; i < n; i++ {
+		p.parts = append(p.parts, newPart())
 	}
 	return p
 }
@@ -75,11 +82,11 @@ func newPhase() *phase {
 type run struct {
 	workload string
 	setup    []float64 // seconds, one per set-up repetition
-	heapMB   float64   // live heap growth over the run's stack
-	main     *phase    // the workload's own traffic
-	probe    *phase    // the thin mix of every route, in sub-phases between main segments
-	cur      *phase    // the phase being timed; nil outside them
-	seg      int       // the segment of the main phase being run
+	heapMB   float64   // live heap the stack held at the end
+	main     *phase    // the workload's own traffic, one part per segment
+	probe    *phase    // the thin mix of every route, one part per sub-phase between main segments
+	cur      *part     // the part being timed; nil outside the timed phase
+	seg      int       // the segment of the main traffic being run
 	attempt  int64
 	failed   map[string]int64 // route class → operations failed by the single-observation fault
 	wrong    int              // answers that disagree with the oracle
@@ -94,8 +101,8 @@ type run struct {
 func newRun(workload string, tr *tracer) *run {
 	return &run{
 		workload: workload,
-		main:     newPhase(),
-		probe:    newPhase(),
+		main:     newPhase(segments),
+		probe:    newPhase(0),
 		failed:   map[string]int64{},
 		counters: map[string]float64{},
 		layer:    map[string]metric{},
@@ -109,18 +116,21 @@ func (r *run) record(route string, d time.Duration) {
 		return
 	}
 	r.attempt++
-	r.cur.busy[r.seg][route] += d
-	r.cur.lat[r.seg][route] = append(r.cur.lat[r.seg][route], ms(d))
+	r.cur.busy[route] += d
+	r.cur.lat[route] = append(r.cur.lat[route], ms(d))
 }
 
-// segment sets the segment from the main phase's progress: round i of
+// segment sets the segment from the main traffic's progress: round i of
 // n timed rounds.
-func (r *run) segment(i, n int) { r.seg = min(i*segments/n, segments-1) }
+func (r *run) segment(i, n int) {
+	r.seg = min(i*segments/n, segments-1)
+	r.cur = r.main.parts[r.seg]
+}
 
 // acked counts acknowledged observations of a timed ingest.
 func (r *run) acked(n int) {
 	if r.cur != nil {
-		r.cur.obs[r.seg] += int64(n)
+		r.cur.obs += int64(n)
 	}
 }
 
@@ -144,7 +154,7 @@ func (r *run) mismatch(format string, args ...any) {
 func (r *run) beginMain() {
 	runtime.GC()
 	r.hostRef = append(r.hostRef, hostRef())
-	r.cur = r.main
+	r.cur = r.main.parts[0]
 	r.proc = readProc()
 }
 
@@ -168,44 +178,20 @@ type probeGroup struct {
 	query  sqlQuery
 }
 
-// probeSub runs one probe sub-phase inside the main phase, after a
-// forced collection: a sub-phase allocates less than the live heap, so
-// the collector does not run inside it. The probes measure every route
+// probeSub runs one probe sub-phase inside the main phase, right after
+// a forced collection, so the collector seldom runs inside it. The probes measure every route
 // on the workload's stack at rest, without the collector or the
 // workload's own load beside them; spreading the sub-phases over the run
-// lets them see the same host as the main traffic. The groups run in two
-// passes and the samples of the quieter pass (less time in requests)
-// are kept: on a shared host a stall of a few milliseconds lands on
-// one pass or the other, and it is the host's, not the route's.
+// lets them see the same host as the main traffic. Each sub-phase is a
+// part of the probe phase.
 func (r *run) probeSub(e *env, groups []probeGroup) {
 	runtime.GC()
-	var passes [2]*phase
-	for i := range passes {
-		passes[i] = newPhase()
-		r.cur = passes[i]
-		half := len(groups) / 2
-		for _, g := range groups[i*half : (i+1)*half] {
-			probeOnce(e, g)
-		}
+	r.cur = newPart()
+	r.probe.parts = append(r.probe.parts, r.cur)
+	for _, g := range groups {
+		probeOnce(e, g)
 	}
-	r.cur = r.main
-	keep := passes[0]
-	if passes[1].busyTotal(r.seg) < keep.busyTotal(r.seg) {
-		keep = passes[1]
-	}
-	for rt, xs := range keep.lat[r.seg] {
-		r.probe.lat[r.seg][rt] = append(r.probe.lat[r.seg][rt], xs...)
-		r.probe.busy[r.seg][rt] += keep.busy[r.seg][rt]
-	}
-	r.probe.obs[r.seg] += keep.obs[r.seg]
-}
-
-func (p *phase) busyTotal(seg int) time.Duration {
-	var d time.Duration
-	for _, b := range p.busy[seg] {
-		d += b
-	}
-	return d
+	r.cur = r.main.parts[r.seg]
 }
 
 func probeOnce(e *env, g probeGroup) {
@@ -226,45 +212,48 @@ func (r *run) failedTotal() int64 {
 	return n
 }
 
-// rate is the median over segments of the count per second of the time
-// the segment spent in requests of the given route classes. The client
-// is closed-loop, so this is the rate the server sustains for that
+// rate is the median over parts of the count per second of the time
+// the part spent in requests of the given route classes. The client is
+// closed-loop, so this is the rate the server sustains for that
 // traffic, free of the benchmark's own checking between requests and of
-// the other classes. count gives a segment's count.
-func (p *phase) rate(count func(seg int) int64, routes ...string) float64 {
+// the other classes. count gives a part's count.
+func (p *phase) rate(count func(*part) int64, routes ...string) float64 {
 	var rates []float64
-	for seg := range p.busy {
+	for _, pt := range p.parts {
 		var busy time.Duration
 		for _, rt := range routes {
-			busy += p.busy[seg][rt]
+			busy += pt.busy[rt]
 		}
 		if busy > 0 {
-			rates = append(rates, float64(count(seg))/busy.Seconds())
+			rates = append(rates, float64(count(pt))/busy.Seconds())
 		}
 	}
 	return median(rates)
 }
 
-// samples returns the latencies of the route classes in one segment, or
-// in all of them for seg < 0.
-func (p *phase) samples(seg int, routes ...string) []float64 {
+// samples returns the latencies of the route classes in one part.
+func (pt *part) samples(routes ...string) []float64 {
 	var out []float64
-	for s := range p.lat {
-		if seg >= 0 && s != seg {
-			continue
-		}
-		for _, rt := range routes {
-			out = append(out, p.lat[s][rt]...)
-		}
+	for _, rt := range routes {
+		out = append(out, pt.lat[rt]...)
 	}
 	return out
 }
 
-// segTail is the median over segments of each segment's tail.
-func (p *phase) segTail(routes ...string) float64 {
+// samples returns the latencies of the route classes over all parts.
+func (p *phase) samples(routes ...string) []float64 {
+	var out []float64
+	for _, pt := range p.parts {
+		out = append(out, pt.samples(routes...)...)
+	}
+	return out
+}
+
+// partTail is the median over parts of each part's tail.
+func (p *phase) partTail(routes ...string) float64 {
 	var tails []float64
-	for seg := range p.lat {
-		if xs := p.samples(seg, routes...); len(xs) > 0 {
+	for _, pt := range p.parts {
+		if xs := pt.samples(routes...); len(xs) > 0 {
 			tails = append(tails, tail(xs))
 		}
 	}
@@ -285,16 +274,15 @@ func (r *run) endToEnd() map[string]metric {
 		"heap_mb": {r.heapMB, "MB"},
 	}
 	p := src("obs_per_s")
-	m["obs_per_s"] = metric{p.rate(func(seg int) int64 { return p.obs[seg] }, rIngest), "1/s"}
-	m["ingest_p50_ms"] = metric{median(src("ingest_p50_ms").samples(-1, rIngest)), "ms"}
-	m["ingest_p99_ms"] = metric{src("ingest_p99_ms").segTail(rIngest), "ms"}
-	m["window_p50_ms"] = metric{median(src("window_p50_ms").samples(-1, rWindow)), "ms"}
-	m["nearby_p50_ms"] = metric{median(src("nearby_p50_ms").samples(-1, rNearby)), "ms"}
-	m["atinstant_p50_ms"] = metric{median(src("atinstant_p50_ms").samples(-1, rAtInstant)), "ms"}
-	rp := src("reads_per_s")
-	m["reads_per_s"] = metric{rp.rate(func(seg int) int64 { return int64(len(rp.samples(seg, readRoutes...))) }, readRoutes...), "1/s"}
-	m["read_p99_ms"] = metric{src("read_p99_ms").segTail(readRoutes...), "ms"}
-	m["query_p50_ms"] = metric{median(src("query_p50_ms").samples(-1, rQuery)), "ms"}
+	m["obs_per_s"] = metric{p.rate(func(pt *part) int64 { return pt.obs }, rIngest), "1/s"}
+	m["ingest_p50_ms"] = metric{median(src("ingest_p50_ms").samples(rIngest)), "ms"}
+	m["ingest_p99_ms"] = metric{src("ingest_p99_ms").partTail(rIngest), "ms"}
+	m["window_p50_ms"] = metric{median(src("window_p50_ms").samples(rWindow)), "ms"}
+	m["nearby_p50_ms"] = metric{median(src("nearby_p50_ms").samples(rNearby)), "ms"}
+	m["atinstant_p50_ms"] = metric{median(src("atinstant_p50_ms").samples(rAtInstant)), "ms"}
+	m["reads_per_s"] = metric{src("reads_per_s").rate(func(pt *part) int64 { return int64(len(pt.samples(readRoutes...))) }, readRoutes...), "1/s"}
+	m["read_p99_ms"] = metric{src("read_p99_ms").partTail(readRoutes...), "ms"}
+	m["query_p50_ms"] = metric{median(src("query_p50_ms").samples(rQuery)), "ms"}
 	return m
 }
 
@@ -334,7 +322,7 @@ func (r *run) result(traced bool) result {
 		p    *phase
 	}{{"main", r.main}, {"probe", r.probe}} {
 		for _, rt := range append([]string{rIngest, rQuery}, readRoutes...) {
-			if xs := ph.p.samples(-1, rt); len(xs) > 0 {
+			if xs := ph.p.samples(rt); len(xs) > 0 {
 				fmt.Fprintf(os.Stderr, "perfbench: %s %s latency ms: n=%d p50=%.4g p90=%.4g p99=%.4g max=%.4g\n", ph.name, rt, len(xs),
 					quantile(xs, 0.5), quantile(xs, 0.9), quantile(xs, 0.99), quantile(xs, 1))
 			}

@@ -7,6 +7,8 @@ import (
 	"strings"
 
 	"movingdb/internal/baseline"
+	"movingdb/internal/moving"
+	"movingdb/internal/temporal"
 	"movingdb/internal/workload"
 	"movingdb/perfbench/oracle"
 )
@@ -38,6 +40,9 @@ type sqlOracle struct {
 	length   []float64
 	pairMin  [][]float64 // [i][j] for planes i, j; NaN when they share no instant
 	exposure [][]float64 // [plane][storm]: time inside
+	faults   []string    // disagreements of baseline with plain geometry
+	// crossChecked counts the instants where they were compared.
+	crossChecked int
 }
 
 func newSQLOracle(c *catalog) *sqlOracle {
@@ -59,11 +64,62 @@ func newSQLOracle(c *catalog) *sqlOracle {
 			}
 		}
 		naive := baseline.FromMPoint(p.mp)
-		for _, st := range storms {
-			o.exposure[i] = append(o.exposure[i], naive.Inside(st).TrueDuration())
+		for s, st := range storms {
+			in := naive.Inside(st)
+			o.exposure[i] = append(o.exposure[i], in.TrueDuration())
+			faults, n := crossCheckStorm(p.tr, c.storms[s], in)
+			o.faults = append(o.faults, faults...)
+			o.crossChecked += n
 		}
 	}
 	return o
+}
+
+// crossSamples is the number of instants of each flight at which
+// crossCheckStorm compares.
+const crossSamples = 64
+
+// crossCheckStorm checks baseline's inside of one plane and one storm
+// at instants spread over the flight. The plane's position comes from
+// its raw samples, and the storm's polygon from its moving segments'
+// vertex motions, evaluated here, with an even-odd ray cast: what
+// baseline shares with the store (MPointFromSamples units and the
+// UPointInsideURegion kernel) is checked against plain geometry.
+// Instants within Eps of a storm unit's end or of an edge are skipped;
+// n counts the others.
+func crossCheckStorm(tr oracle.Track, storm moving.MRegion, in moving.MBool) (faults []string, n int) {
+	for k := 0; k < crossSamples; k++ {
+		t := tr.Start() + (float64(k)+0.5)/crossSamples*(tr.End()-tr.Start())
+		x, y, _ := tr.PosAt(t)
+		var rings [][][2]float64
+		for _, u := range storm.M.Units() {
+			if t > float64(u.Iv.Start)+oracle.Eps && t < float64(u.Iv.End)-oracle.Eps {
+				for _, f := range u.Faces {
+					for _, c := range f.MCycles() {
+						ring := make([][2]float64, len(c))
+						for j, m := range c {
+							ring[j] = [2]float64{m.X0 + m.X1*t, m.Y0 + m.Y1*t}
+						}
+						rings = append(rings, ring)
+					}
+				}
+				break
+			}
+		}
+		if rings == nil {
+			continue
+		}
+		want, graze := oracle.InsideRings(rings, x, y)
+		if graze {
+			continue
+		}
+		n++
+		got, ok := in.AtInstant(temporal.Instant(t)).Get()
+		if !ok || got != want {
+			faults = append(faults, fmt.Sprintf("%s at t=%g: baseline inside %v (defined %v), polygon says %v", tr.ID, t, got, ok, want))
+		}
+	}
+	return faults, n
 }
 
 // near reports whether v lies within the tolerance of the threshold c:

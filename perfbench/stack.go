@@ -115,12 +115,32 @@ func openStack(c stackConfig) (*stack, error) {
 }
 
 // close stops the stack in moserver's shutdown order: registry, HTTP,
-// pipeline.
+// pipeline, and drops every reference to it. Closing twice is a no-op.
+// The HTTP server's handler is dropped too: a stopped timer stays in the
+// runtime's timer heap until the runtime sweeps it out, and the timers
+// that httptest.Server.Close and the query timeouts stop reach the
+// http.Server, so through its handler they would keep the whole closed
+// stack live.
 func (s *stack) close() {
+	if s.ts == nil {
+		return
+	}
 	s.reg.Close()
 	s.cl.hc.CloseIdleConnections()
 	s.ts.Close()
+	s.ts.Config.Handler = nil
 	s.pipe.Close()
+	*s = stack{}
+}
+
+// heapMB closes the stack and returns the live heap only it held: the
+// live heap with the stack open minus the same right after closing it.
+// The benchmark's own state (inputs, model, checks) is the same at both
+// readings, so it cancels out.
+func (s *stack) heapMB() float64 {
+	open := liveHeapMB()
+	s.close()
+	return open - liveHeapMB()
 }
 
 // client is the single closed-loop client: one goroutine, one
